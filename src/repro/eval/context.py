@@ -11,8 +11,7 @@ task graphs here.
 Three cache families, all bounded by one LRU capacity:
 
 * **raw predictions** — BAD's per-partition list, keyed on the op-id
-  frozenset (the canonical content key; :meth:`content_hash` gives the
-  stable hex digest for external storage),
+  frozenset (the canonical content key),
 * **pruned predictions** — level-1 pruned lists, keyed on
   (content, usable area, drop_inferior) so `add_chip` self-invalidates,
 * **memory profiles** — per-partition :class:`MemoryAccessProfile`,
@@ -29,7 +28,6 @@ caught, never silently served stale.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import OrderedDict
 from typing import (
@@ -113,7 +111,6 @@ class EvaluationContext:
         self._profiles: (
             "OrderedDict[ContentKey, MemoryAccessProfile]"
         ) = OrderedDict()
-        self._content_hashes: Dict[ContentKey, str] = {}
         # -- incremental task-graph state --
         self._dirty: Set[str] = set()
         self._ingredients: Optional[TaskGraphIngredients] = None
@@ -139,25 +136,6 @@ class EvaluationContext:
         self._pairs_rebuilt = 0
         self._packs = 0
         self._pack_reuses = 0
-
-    # ------------------------------------------------------------------
-    # content keys
-    # ------------------------------------------------------------------
-    def content_hash(self, op_ids: ContentKey) -> str:
-        """Canonical hex digest of a partition's operation set.
-
-        Stable across processes and sessions (unlike ``hash()`` of the
-        frozenset) — the key to use anywhere a content identity leaves
-        this process.
-        """
-        cached = self._content_hashes.get(op_ids)
-        if cached is None:
-            digest = hashlib.sha256(
-                "\x00".join(sorted(op_ids)).encode("utf-8")
-            )
-            cached = digest.hexdigest()
-            self._content_hashes[op_ids] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # LRU plumbing
@@ -423,10 +401,7 @@ class EvaluationContext:
                 problem.attach_packed(pack)
                 self._pack_reuses += 1
                 return
-        try:
-            pack = problem.packed()
-        except ImportError:  # numpy absent; the kernel dispatcher will
-            return           # raise the descriptive EngineError itself
+        pack = problem.packed()
         self._packed_entry = (
             problem.task_graph,
             problem.names,

@@ -9,8 +9,10 @@ array op (:mod:`~repro.kernels.batch`): combinations that are *provably*
 infeasible are killed by vectorized kernels, and only the survivors run
 the unchanged scalar integration pipeline, in flat-index order.  The
 feasible list — and therefore ``SearchResult.to_dict()`` — is
-byte-identical to the scalar path by construction; the scalar loop stays
-in the tree as the reference oracle (``kernel="scalar"``).
+byte-identical to the scalar path by construction.  The enumeration walk
+screens through this package unless it needs a per-combination hook;
+the scalar loop stays in the tree as the reference oracle
+(``check(kernel="scalar")``) and as the walk for those hooks.
 
 See ``docs/performance.md`` for the memory layout, the kernel contracts
 and the soundness argument behind each screen.

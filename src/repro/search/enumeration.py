@@ -20,6 +20,11 @@ serial path here and the engine's worker processes execute *identical*
 code: handing an :class:`~repro.engine.EvaluationEngine` in through
 ``engine=`` shards the same walk across a process pool and merges the
 shards back into a byte-identical result.
+
+The walk screens whole index blocks with the vectorized kernel
+(:mod:`repro.kernels`) unless it needs a per-combination hook —
+``keep_all``, an explain ``collector`` or a soft deadline — which only
+the scalar loop has.  Both return byte-identical results.
 """
 
 from __future__ import annotations
@@ -32,11 +37,7 @@ from repro.bad.styles import ClockScheme
 from repro.core.feasibility import FeasibilityCriteria
 from repro.core.partitioning import Partitioning
 from repro.core.tasks import TaskGraph
-from repro.engine.workers import (
-    EvaluationProblem,
-    evaluate_range,
-    evaluate_range_kernel,
-)
+from repro.engine.workers import EvaluationProblem, evaluate_range
 from repro.errors import CombinationExplosionError, PredictionError
 from repro.library.library import ComponentLibrary
 from repro.obs.tracing import span as trace_span
@@ -100,18 +101,16 @@ def enumeration_search(
     incremental one from :class:`repro.eval.EvaluationContext`); when
     omitted the graph is built from scratch.
 
-    ``kernel`` selects the evaluation kernel ("scalar" or
-    "vectorized"); ``None`` defers to the engine's configured default
-    (plain "scalar" on the serial path).  Both kernels return
-    byte-identical results; the vectorized one supports neither
-    ``keep_all``, a ``collector`` nor a soft deadline (those hooks are
-    per-combination by definition), so those modes run the scalar loop
-    regardless.  ``packer`` (if given) is called with the built
-    :class:`EvaluationProblem` before the walk — the
+    The walk screens through the vectorized kernel unless one of the
+    per-combination hooks above is set.  ``kernel="scalar"`` is the
+    reference seam: it forces the serial scalar walk, as ``keep_all``
+    does; ``None`` and ``"vectorized"`` leave the choice to the walk.
+    ``packer`` (if given) is called with the built
+    :class:`EvaluationProblem` when the walk vectorizes — the
     :class:`~repro.eval.EvaluationContext` uses it to seed or reuse its
     cached prediction pack across checks of an unchanged design.
     """
-    if kernel is not None and kernel not in ("scalar", "vectorized"):
+    if kernel not in (None, "scalar", "vectorized"):
         raise PredictionError(
             f"unknown kernel {kernel!r}; expected 'scalar' or "
             f"'vectorized'"
@@ -133,25 +132,24 @@ def enumeration_search(
             limit=MAX_COMBINATIONS,
             list_sizes=problem.list_sizes(),
         )
-    if packer is not None:
-        packer(problem)
-
     soft_stop: Optional[Callable[[], bool]] = None
     if soft_deadline_s is not None:
         soft_stop = SoftDeadline(soft_deadline_s)
+    vectorize = not (
+        kernel == "scalar" or keep_all or collector is not None
+        or soft_stop is not None
+    )
+    if vectorize and packer is not None:
+        packer(problem)
 
     started = time.perf_counter()
     with trace_span(
         "search.enumeration", prune=prune, space=combination_count,
         partitions=len(names),
+        kernel="vectorized" if vectorize else "scalar",
     ) as sp:
-        if (
-            engine is not None and not keep_all and collector is None
-            and soft_stop is None
-        ):
-            run = engine.run(
-                problem, cancel=cancel, progress=progress, kernel=kernel
-            )
+        if vectorize and engine is not None:
+            run = engine.run(problem, cancel=cancel, progress=progress)
             sp.add("combinations", run.trials)
             sp.add("feasible", len(run.feasible))
             return SearchResult(
@@ -162,12 +160,13 @@ def enumeration_search(
                 space=None,
             )
 
-        if (
-            kernel == "vectorized" and not keep_all
-            and collector is None and soft_stop is None
-        ):
-            feasible, trials = evaluate_range_kernel(
-                problem, 0, combination_count, kernel=kernel,
+        if vectorize:
+            # numpy is imported on first use, so importing the search
+            # (and the CLI) does not load it.
+            from repro.kernels.batch import evaluate_range_batch
+
+            feasible, trials = evaluate_range_batch(
+                problem, 0, combination_count,
                 cancel=cancel, counters=sp.counters,
             )
             space = None

@@ -65,17 +65,12 @@ def level1_prune(
     integration overhead, then (optionally) the Pareto-dominated ones.
     The result keeps the paper's ordering (II, then delay).
     """
-    keep = None
     if len(predictions) >= LEVEL1_VECTOR_THRESHOLD:
-        try:
-            from repro.kernels.batch import level1_keep_mask
-        except ImportError:  # numpy absent: the scalar filter is fine
-            pass
-        else:
-            keep = level1_keep_mask(
-                predictions, criteria, clocks, max_usable_area_mil2
-            )
-    if keep is not None:
+        from repro.kernels.batch import level1_keep_mask
+
+        keep = level1_keep_mask(
+            predictions, criteria, clocks, max_usable_area_mil2
+        )
         feasible = [
             p for p, kept in zip(predictions, keep.tolist()) if kept
         ]

@@ -131,7 +131,6 @@ class ChopService:
         disk_cache_dir: Optional[str] = None,
         cache_backend: str = "auto",
         start_method: Optional[str] = None,
-        engine_kernel: str = "scalar",
         max_queued: Optional[int] = 64,
         max_jobs_per_session: Optional[int] = 4,
         max_body_bytes: int = 1_000_000,
@@ -175,16 +174,9 @@ class ChopService:
         )
         # ``workers`` threads drain the job queue; ``search_workers``
         # processes shard each enumeration's combination walk.
-        if engine_kernel not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"engine_kernel must be 'scalar' or 'vectorized', got "
-                f"{engine_kernel!r}"
-            )
-        self.engine_kernel = engine_kernel
         self.engine: Optional[EvaluationEngine] = (
             EvaluationEngine(
                 workers=search_workers, start_method=start_method,
-                kernel=engine_kernel,
             )
             if search_workers > 1
             else None
@@ -551,28 +543,11 @@ class ChopService:
         payload["created"] = created
         return (201 if created else 200), payload
 
-    def _parse_kernel(self, options: Dict[str, Any]) -> str:
-        """The request's evaluation-kernel choice (``engine`` option).
-
-        Falls back to the service-wide default; anything but the two
-        known kernels is an immediate 400 ``invalid_option``.
-        """
-        kernel = options.get("engine", self.engine_kernel)
-        if kernel not in ("scalar", "vectorized"):
-            raise ServiceError(
-                400,
-                f"unknown engine {kernel!r}; use 'scalar' or "
-                f"'vectorized'",
-                kind="invalid_option",
-            )
-        return kernel
-
     def _check(
         self, entry: SessionEntry, options: Dict[str, Any]
     ) -> Dict[str, Any]:
         heuristic = options.get("heuristic", "iterative")
         prune = bool(options.get("prune", True))
-        kernel = self._parse_kernel(options)
         soft_deadline_s = options.get("soft_deadline_s")
         if heuristic not in HEURISTICS:
             raise ServiceError(
@@ -602,24 +577,18 @@ class ChopService:
                     heuristic=heuristic,
                     prune=prune,
                     soft_deadline_s=soft_deadline_s,
-                    kernel=kernel,
                 ).to_dict()
             return {
                 "project_id": entry.project_id,
                 "cache_hit": False,
                 "result": result,
             }
-        # The kernel is deliberately NOT part of the verdict cache key:
-        # both kernels return byte-identical results (the property the
-        # identity suite enforces), so a verdict computed by either
-        # serves requests asking for the other.
         key = check_cache_key(entry.fingerprint, heuristic, prune)
 
         def compute() -> Dict[str, Any]:
             with entry.lock:
                 return self._checked(
                     entry, heuristic=heuristic, prune=prune,
-                    kernel=kernel,
                 ).to_dict()
 
         result, hit = self.cache.get_or_compute(key, compute)
@@ -638,7 +607,6 @@ class ChopService:
         prediction entirely.  Callers must hold ``entry.lock``.
         """
         options.setdefault("engine", self.engine)
-        options.setdefault("kernel", self.engine_kernel)
         if self.disk_cache is None:
             return entry.session.check(**options)
         session = entry.session
@@ -667,7 +635,6 @@ class ChopService:
         heuristic = options.get("heuristic", "enumeration")
         prune = bool(options.get("prune", True))
         explain = bool(options.get("explain", False))
-        kernel = self._parse_kernel(options)
         if heuristic not in HEURISTICS:
             raise ServiceError(
                 400,
@@ -701,7 +668,6 @@ class ChopService:
                             cancel=job.should_stop,
                             progress=job.report_progress,
                             collector=collector,
-                            kernel=kernel,
                         ).to_dict()
             finally:
                 # Keep the trace (and explain, once collected) even
@@ -712,9 +678,7 @@ class ChopService:
                     job.artifacts["explain"] = collector.report(
                         heuristic=heuristic
                     ).to_dict()
-                self._flight_job(
-                    job, tracer, started, engine_kernel=kernel
-                )
+                self._flight_job(job, tracer, started)
             return result
 
         job = self.jobs.submit(
@@ -948,13 +912,7 @@ class ChopService:
         job.trace_id = tracer.trace_id
         return job.to_dict()
 
-    def _flight_job(
-        self,
-        job,
-        tracer: Tracer,
-        started: float,
-        engine_kernel: Optional[str] = None,
-    ) -> None:
+    def _flight_job(self, job, tracer: Tracer, started: float) -> None:
         """Flight-record one finished background job (any outcome)."""
         self.flight.record(
             "job",
@@ -963,7 +921,6 @@ class ChopService:
             spans=tracer.spans(),
             job_id=job.id,
             job_kind=job.kind,
-            engine_kernel=engine_kernel or self.engine_kernel,
         )
 
     def _job_trace(self, job) -> Dict[str, Any]:

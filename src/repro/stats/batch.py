@@ -10,8 +10,8 @@ argument on, and ``tests/test_kernels.py`` asserts it at every branch
 breakpoint (``x`` at/inside/outside the support, mode at either edge,
 degenerate ``lb == ml == ub`` supports).
 
-numpy is an optional dependency of the repository; this module imports
-it eagerly, so import it lazily from code that must run without numpy.
+This module imports numpy eagerly; import it lazily, on first use, so
+that light entry points such as ``import repro.cli`` do not load numpy.
 """
 
 from __future__ import annotations

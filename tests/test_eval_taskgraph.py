@@ -246,15 +246,6 @@ class TestContextCaches:
                 cache_capacity=0,
             )
 
-    def test_content_hash_is_stable_and_order_free(self):
-        session = experiment1_session(partition_count=2)
-        context = session._eval
-        ops = sorted(session._partitions["P1"].op_ids)
-        a = context.content_hash(frozenset(ops))
-        b = context.content_hash(frozenset(reversed(ops)))
-        assert a == b
-        assert len(a) == 64  # sha256 hex
-
     def test_failed_migration_leaves_session_usable(self):
         """A rejected migration restores state (transactional mutator)."""
         session = experiment1_session(partition_count=3)

@@ -35,7 +35,6 @@ from repro.engine.workers import (
     EvaluationProblem,
     chip_area_hopeless,
     evaluate_range,
-    evaluate_range_kernel,
 )
 from repro.errors import PredictionError, SearchCancelled
 from repro.kernels import (
@@ -46,6 +45,8 @@ from repro.kernels import (
 )
 from repro.kernels.batch import screen_block
 from repro.library.presets import extended_library
+from repro.obs import Tracer, activate
+from repro.search.enumeration import enumeration_search
 from repro.memory.module import MemoryModule
 from repro.stats.batch import triangular_cdf_array
 from repro.stats.distributions import triangular_cdf
@@ -434,18 +435,13 @@ class TestScreens:
 # ----------------------------------------------------------------------
 class TestKernelSelection:
     def test_dispatcher_rejects_unknown_kernel(self):
-        problem = problem_for(session_for())
-        with pytest.raises(ValueError):
-            evaluate_range_kernel(problem, 0, 1, kernel="simd")
-
-    def test_engine_rejects_unknown_kernel(self):
-        from repro.engine import EvaluationEngine
-
-        with pytest.raises(ValueError):
-            EvaluationEngine(workers=1, kernel="simd")
-        engine = EvaluationEngine(workers=1)
-        with pytest.raises(ValueError):
-            engine.run(problem_for(session_for()), kernel="simd")
+        session = session_for()
+        with pytest.raises(PredictionError):
+            enumeration_search(
+                session.partitioning(), session.pruned_predictions(),
+                session.clocks, session.library, session.criteria,
+                kernel="simd",
+            )
 
     def test_session_check_rejects_unknown_kernel(self):
         with pytest.raises(PredictionError):
@@ -453,8 +449,26 @@ class TestKernelSelection:
                 heuristic="enumeration", kernel="simd"
             )
 
-    def test_engine_stats_report_the_kernel(self):
+    def test_enumeration_span_records_the_kernel(self):
+        """The walk picks its kernel from the hooks it must serve, and
+        records the choice once, on the ``search.enumeration`` span."""
         from repro.engine import EvaluationEngine
 
-        engine = EvaluationEngine(workers=1, kernel="vectorized")
-        assert engine.stats()["kernel"] == "vectorized"
+        session = session_for()
+        cases = [
+            ({}, "vectorized"),
+            ({"engine": EvaluationEngine(workers=1)}, "vectorized"),
+            ({"kernel": "vectorized"}, "vectorized"),
+            ({"kernel": "scalar"}, "scalar"),
+            ({"keep_all": True}, "scalar"),
+            ({"soft_deadline_s": 60.0}, "scalar"),
+        ]
+        for check_kwargs, expected in cases:
+            tracer = Tracer()
+            with activate(tracer):
+                session.check(heuristic="enumeration", **check_kwargs)
+            (record,) = [
+                r for r in tracer.spans()
+                if r["name"] == "search.enumeration"
+            ]
+            assert record["attrs"]["kernel"] == expected, check_kwargs

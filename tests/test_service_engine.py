@@ -80,6 +80,25 @@ class TestEngineWiring:
         finally:
             service.close()
 
+    def test_engine_option_is_ignored(self, project_doc):
+        """The engine picks its own kernel: a request's ``engine`` key
+        is ignored like any other unknown option."""
+        service = ChopService(workers=1)
+        try:
+            pid = upload(service, project_doc)
+            plain = call(
+                service, "POST", f"/projects/{pid}/check",
+                {"heuristic": "enumeration"},
+            )
+            ignored = call(
+                service, "POST", f"/projects/{pid}/check",
+                {"heuristic": "enumeration", "engine": "simd"},
+            )
+            assert plain[0] == ignored[0] == 200
+            assert ignored[1]["result"] == plain[1]["result"]
+        finally:
+            service.close()
+
     def test_enumerate_job_reports_progress(self, big_project_doc):
         service = ChopService(workers=1, search_workers=2)
         try:
