@@ -1031,6 +1031,14 @@ class _Handler(BaseHTTPRequestHandler):
     #: True on a fleet worker's internal (forwarding) listener — those
     #: requests are always served locally, never re-forwarded.
     internal = False
+    #: Set TCP_NODELAY on every accepted socket: a response goes out the
+    #: moment it is written instead of waiting on the peer's delayed ACK.
+    disable_nagle_algorithm = True
+    #: Read deadline in seconds for the request line, the headers, the
+    #: body, and a kept-alive connection's idle wait.  A client that
+    #: stalls past it is disconnected, so half-open connections give
+    #: their handler threads back.
+    timeout = 30.0
 
     # Route through one dispatcher per method.
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
@@ -1041,31 +1049,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         started = time.perf_counter()
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.service.max_body_bytes:
-            # Reject from the declared length alone — never buffer an
-            # oversized body into memory.  The unread body makes the
-            # connection unusable for keep-alive, so close it.
-            status, payload, route, extra = (
-                413,
-                {
-                    "error": (
-                        f"request body of {length} bytes exceeds the "
-                        f"{self.service.max_body_bytes} byte cap"
-                    ),
-                    "type": "body_too_large",
-                },
-                "(oversized)",
-                {},
-            )
-            self.close_connection = True
-        else:
-            body = self.rfile.read(length) if length else None
-            status, payload, route, extra = self.service.handle(
-                method, self.path, body,
-                trace_id=self.headers.get("X-Trace-Id"),
-                internal=self.internal,
-            )
+        trace_id = self.headers.get("X-Trace-Id")
+        status, payload, route, extra = self._serve(method, trace_id)
         if self.service.fleet is not None:
             # Which worker *answered* — forwarded responses keep the
             # owner's stamp; locally served ones get this worker's.
@@ -1084,14 +1069,63 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         for name, value in extra.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() followed by a body write would be two sends; put
+        # the blank line and the body behind the buffered headers so the
+        # whole response leaves in one write.  (An HTTP/0.9 request
+        # buffers no headers and gets the bare body.)
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + data if head else data)
         self.service.note_request(
             route,
             time.perf_counter() - started,
             status,
-            trace_id=self.headers.get("X-Trace-Id"),
+            trace_id=trace_id,
         )
+
+    def _serve(self, method: str, trace_id: Optional[str]) -> Response:
+        """Read the body and answer, or reject the request."""
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            return self._reject(
+                400, f"malformed Content-Length {declared!r}",
+                "bad_request", "(malformed)",
+            )
+        length = int(declared)
+        if length > self.service.max_body_bytes:
+            # Reject from the declared length alone — never buffer an
+            # oversized body into memory.
+            return self._reject(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{self.service.max_body_bytes} byte cap",
+                "body_too_large", "(oversized)",
+            )
+        try:
+            body = self.rfile.read(length) if length else None
+        except TimeoutError:
+            return self._reject(
+                408, f"request body not received within {self.timeout:g} s",
+                "request_timeout", "(timeout)",
+            )
+        return self.service.handle(
+            method, self.path, body,
+            trace_id=trace_id,
+            internal=self.internal,
+        )
+
+    def _reject(
+        self, status: int, message: str, kind: str, route: str
+    ) -> Response:
+        """An error for a request whose body is unread or partly read.
+
+        What is left of the body would be parsed as the next request,
+        so the connection is closed after the response.
+        """
+        self.close_connection = True
+        return status, {"error": message, "type": kind}, route, {}
 
     def log_message(self, format: str, *args: Any) -> None:
         if not self.quiet:

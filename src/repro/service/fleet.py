@@ -14,8 +14,9 @@ where ``project_id`` is the leading 16 hex chars of
 document body, so a project lands on its owner no matter which worker
 accepts the TCP connection; job ids carry a ``w{index}-`` prefix so
 polling routes without shared state.  A worker that accepts a request
-it does not own forwards it over loopback to the owner's *internal*
-listener (which never re-forwards) and relays the response verbatim.
+it does not own forwards it over a kept-alive loopback connection to
+the owner's *internal* listener (which never re-forwards) and relays
+the response verbatim.
 Predictions — the expensive, content-addressed half — are *not* sticky:
 the shared cache backend (:class:`repro.cache.SharedPredictionCache`)
 carries them fleet-wide through the filesystem.
@@ -37,14 +38,13 @@ and the parent exits 0 only when every worker drained cleanly.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
 import socket
 import threading
-import urllib.error
-import urllib.request
 from http.server import ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,6 +62,17 @@ except ImportError:  # pragma: no cover - circular-import guard
 MAX_FLEET_WORKERS = 32
 
 _JOB_PREFIX_RE = re.compile(r"^w(\d+)-")
+
+#: Idle forwarding connections kept per peer.  Each one holds a handler
+#: thread on the peer's internal listener until the peer's read
+#: deadline closes it; a burst of concurrent forwards beyond this many
+#: closes its extra connections instead of parking them.
+MAX_IDLE_PER_PEER = 4
+
+#: Errors that mean a kept-alive connection was closed by the peer
+#: while idle (its read deadline expired, or it restarted).
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError,
+          BrokenPipeError)
 
 
 class FleetRouter:
@@ -92,8 +103,12 @@ class FleetRouter:
         self.forward_timeout_s = forward_timeout_s
         self._lock = threading.Lock()
         self._forwarded = 0
+        self._forward_connects = 0
         self._forward_failures = 0
         self._scrape_errors = 0
+        #: Idle kept-alive connections to each peer's internal
+        #: listener, most recently used last.
+        self._idle: Dict[int, List[http.client.HTTPConnection]] = {}
 
     @property
     def workers(self) -> int:
@@ -158,6 +173,98 @@ class FleetRouter:
         return None
 
     # ------------------------------------------------------------------
+    # kept-alive loopback connections
+    # ------------------------------------------------------------------
+    def _exchange(
+        self,
+        worker: int,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Dict[str, str],
+        timeout: float,
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """One request and its whole response over a pooled connection.
+
+        A reused connection is retried once, on a fresh one, when it
+        fails before the first response byte arrives: the peer closed
+        it while it sat idle, so the request was never read.  Any other
+        failure raises (``OSError`` or ``http.client.HTTPException``).
+        """
+        with self._lock:
+            idle = self._idle.get(worker)
+            conn = idle.pop() if idle else None
+        if conn is not None and not self._send(
+            conn, method, path, body, headers, timeout, reused=True
+        ):
+            conn = None
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.internal_ports[worker], timeout=timeout
+            )
+            conn.connect()
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                self._forward_connects += 1
+            self._send(conn, method, path, body, headers, timeout,
+                       reused=False)
+        try:
+            response = conn.getresponse()
+            raw = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if not response.will_close:
+            with self._lock:
+                idle = self._idle.setdefault(worker, [])
+                if len(idle) < MAX_IDLE_PER_PEER:
+                    idle.append(conn)
+                    return response.status, response.msg, raw
+        conn.close()
+        return response.status, response.msg, raw
+
+    @staticmethod
+    def _send(
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Dict[str, str],
+        timeout: float,
+        reused: bool,
+    ) -> bool:
+        """Send one request; False when a reused connection was stale.
+
+        On a reused connection the first response byte is awaited with
+        a non-consuming peek, so "closed before answering" (retry) is
+        told apart from "failed mid-response" (no retry) exactly.
+        """
+        try:
+            conn.sock.settimeout(timeout)
+            conn.request(method, path, body=body, headers=headers)
+            if reused and not conn.sock.recv(1, socket.MSG_PEEK):
+                raise http.client.RemoteDisconnected(
+                    "peer closed the idle connection"
+                )
+        except _STALE:
+            conn.close()
+            if reused:
+                return False
+            raise
+        except BaseException:
+            conn.close()
+            raise
+        return True
+
+    def close(self) -> None:
+        """Close every idle forwarding connection."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+    # ------------------------------------------------------------------
     # loopback forwarding
     # ------------------------------------------------------------------
     def forward(
@@ -178,30 +285,15 @@ class FleetRouter:
         the balancer retry lands on a live worker whose forward will
         fail the same way until the fleet restarts).
         """
-        url = (
-            f"http://{self.host}:{self.internal_ports[owner]}{path}"
-        )
         headers: Dict[str, str] = {"X-Chop-Fleet-Internal": "1"}
         if trace_id:
             headers["X-Trace-Id"] = trace_id
-        data = body if method == "POST" else None
-        if method == "POST" and data is None:
-            data = b""
-        request = urllib.request.Request(
-            url, data=data, method=method, headers=headers
-        )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.forward_timeout_s
-            ) as response:
-                raw = response.read()
-                status = response.status
-                response_headers = response.headers
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            status = exc.code
-            response_headers = exc.headers
-        except (urllib.error.URLError, OSError) as exc:
+            status, response_headers, raw = self._exchange(
+                owner, method, path, body if method == "POST" else None,
+                headers, self.forward_timeout_s,
+            )
+        except (http.client.HTTPException, OSError) as exc:
             with self._lock:
                 self._forward_failures += 1
             return (
@@ -237,12 +329,13 @@ class FleetRouter:
     # fleet-wide /metrics
     # ------------------------------------------------------------------
     def _fetch(self, worker: int, path: str) -> bytes:
-        url = f"http://{self.host}:{self.internal_ports[worker]}{path}"
-        request = urllib.request.Request(
-            url, headers={"X-Chop-Fleet-Internal": "1"}
+        status, _headers, raw = self._exchange(
+            worker, "GET", path, None, {"X-Chop-Fleet-Internal": "1"},
+            timeout=10.0,
         )
-        with urllib.request.urlopen(request, timeout=10.0) as response:
-            return response.read()
+        if status != 200:
+            raise OSError(f"worker {worker} answered {status}")
+        return raw
 
     def _peer_texts(self, path: str) -> List[Tuple[int, Optional[bytes]]]:
         out: List[Tuple[int, Optional[bytes]]] = []
@@ -251,7 +344,7 @@ class FleetRouter:
                 continue
             try:
                 out.append((worker, self._fetch(worker, path)))
-            except (urllib.error.URLError, OSError):
+            except (http.client.HTTPException, OSError):
                 with self._lock:
                     self._scrape_errors += 1
                 out.append((worker, None))
@@ -289,6 +382,7 @@ class FleetRouter:
                 "workers": self.workers,
                 "index": self.index,
                 "forwarded": self._forwarded,
+                "forward_connects": self._forward_connects,
                 "forward_failures": self._forward_failures,
                 "scrape_errors": self._scrape_errors,
             }
@@ -434,6 +528,7 @@ def _run_worker(
             internal_server.shutdown()
             internal_server.server_close()
             service.close()
+            router.close()
         exit_code = 0
     except Exception as exc:  # pragma: no cover - crash diagnostics
         log.error("fleet worker crashed", worker=index, error=str(exc))
