@@ -14,6 +14,8 @@ allocation" and "considers serial-parallel tradeoffs" (section 2.4).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Mapping, Tuple
 
 from repro.bad.scheduling import Schedule
@@ -153,17 +155,12 @@ def register_requirement(
     the computation then reduces to the classic max-live count (left-edge
     bound).  For a pipelined design with interval ``l``, iterations
     overlap and a value alive ``s`` cycles occupies ``ceil(s/l)`` slots in
-    steady state; the per-slot accumulation below captures exactly that.
+    steady state; the per-slot accumulation in :func:`register_slots`
+    captures exactly that.
     """
-    if initiation_interval <= 0:
-        raise PredictionError(
-            f"initiation interval must be positive, got {initiation_interval}"
-        )
-    slots = [0] * initiation_interval
-    for birth, death in value_lifetimes(graph, schedule).values():
-        for cycle in range(birth, death):
-            slots[cycle % initiation_interval] += 1
-    return max(slots, default=0)
+    return register_slots(
+        graph, value_lifetimes(graph, schedule), initiation_interval
+    )[0]
 
 
 def register_bits(
@@ -176,17 +173,51 @@ def register_bits(
     Uses the width-weighted analogue of :func:`register_requirement` so
     mixed-width graphs are charged correctly.
     """
+    return register_slots(
+        graph, value_lifetimes(graph, schedule), initiation_interval
+    )[1]
+
+
+def register_slots(
+    graph: DataFlowGraph,
+    lifetimes: Mapping[str, Tuple[int, int]],
+    initiation_interval: int,
+) -> Tuple[int, int]:
+    """Register ``(words, bits)`` for the given value lifetimes.
+
+    Both counts come from one pass: live words and live bits per cycle
+    (a difference array over the lifetimes), each folded modulo the
+    interval; the busiest slot of each fold is the requirement.
+    """
     if initiation_interval <= 0:
         raise PredictionError(
             f"initiation interval must be positive, got {initiation_interval}"
         )
-    slots = [0] * initiation_interval
-    lifetimes = value_lifetimes(graph, schedule)
+    if not lifetimes:
+        return 0, 0
+    low = min(birth for birth, _ in lifetimes.values())
+    high = max(death for _, death in lifetimes.values())
+    word_delta = [0] * (high - low + 1)
+    bit_delta = [0] * (high - low + 1)
     for value_id, (birth, death) in lifetimes.items():
         width = graph.value(value_id).width
-        for cycle in range(birth, death):
-            slots[cycle % initiation_interval] += width
-    return max(slots, default=0)
+        if death <= birth:
+            continue  # never live
+        word_delta[birth - low] += 1
+        word_delta[death - low] -= 1
+        bit_delta[birth - low] += width
+        bit_delta[death - low] -= width
+    live_words = list(accumulate(word_delta))
+    live_bits = list(accumulate(bit_delta))
+    # Cycle ``low + j`` lands in slot ``(low + j) % ii``; each residue
+    # class of ``j`` is one slot, so the busiest slot is the largest
+    # strided sum.
+    ii = initiation_interval
+    residues = range(min(ii, len(live_words)))
+    return (
+        max(sum(live_words[r::ii]) for r in residues),
+        max(sum(live_bits[r::ii]) for r in residues),
+    )
 
 
 def mux_requirement(
@@ -210,7 +241,31 @@ def mux_requirement(
     the same selected bus): register-transfer binders of the ADAM family
     report roughly half the naive steering, which the default reflects.
     """
-    # Operations per resource class, and input port counts.
+    return mux_count(
+        sharing_profile(graph, op_class),
+        allocation, register_words, value_width, sharing_factor,
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class SharingProfile:
+    """What :func:`mux_requirement` needs from the graph itself: it does
+    not depend on the allocation, so one partition needs it once."""
+
+    #: Operations per resource class.
+    ops_per_class: Dict[str, int]
+    #: Widest input port count per resource class.
+    input_ports: Dict[str, int]
+    #: Primary inputs of the graph.
+    input_count: int
+    #: Internally produced values (each writes a PU register).
+    writers: int
+
+
+def sharing_profile(
+    graph: DataFlowGraph, op_class: Mapping[str, str]
+) -> SharingProfile:
+    """The allocation-independent half of :func:`mux_requirement`."""
     ops_per_class: Dict[str, int] = {}
     input_ports: Dict[str, int] = {}
     for op_id, cls in op_class.items():
@@ -218,17 +273,34 @@ def mux_requirement(
         ops_per_class[cls] = ops_per_class.get(cls, 0) + 1
         ports = max(1, len(op.inputs))
         input_ports[cls] = max(input_ports.get(cls, 0), ports)
+    return SharingProfile(
+        ops_per_class=ops_per_class,
+        input_ports=input_ports,
+        input_count=len(graph.primary_inputs()),
+        writers=sum(
+            1 for v in graph.values.values() if v.producer is not None
+        ),
+    )
 
+
+def mux_count(
+    profile: SharingProfile,
+    allocation: Mapping[str, int],
+    register_words: int,
+    value_width: int,
+    sharing_factor: float = 0.55,
+) -> int:
+    """:func:`mux_requirement` from a precomputed :class:`SharingProfile`."""
     # A port's selector cannot be wider than the number of distinct
     # physical sources it can see: registers, the share of primary-input
     # buses falling on that port, and unit outputs.  Deeply serial
     # designs route many operations through few sources, so the naive
     # ops-per-unit fan-in over-counts badly without this cap.
     total_units = sum(max(0, u) for u in allocation.values())
-    input_count = len(graph.primary_inputs())
+    input_count = profile.input_count
 
     muxes = 0
-    for cls, op_count in ops_per_class.items():
+    for cls, op_count in profile.ops_per_class.items():
         units = allocation.get(cls, 0)
         if units <= 0:
             raise PredictionError(
@@ -236,7 +308,7 @@ def mux_requirement(
             )
         if op_count <= units:
             continue  # no sharing, no steering
-        ports = input_ports[cls]
+        ports = profile.input_ports[cls]
         source_cap = max(
             2,
             register_words
@@ -251,9 +323,7 @@ def mux_requirement(
     # produced values write the PU registers — and a register cannot see
     # more distinct writers than there are unit outputs, which caps the
     # steering in deeply serial designs.
-    writers = sum(
-        1 for v in graph.values.values() if v.producer is not None
-    )
+    writers = profile.writers
     if register_words > 0 and writers > register_words:
         sharing = min(
             writers - register_words,

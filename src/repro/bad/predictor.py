@@ -20,24 +20,32 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.bad.allocation import (
+    SharingProfile,
     allocation_candidates,
-    mux_requirement,
+    mux_count,
     partition_resource_model,
-    register_bits,
-    register_requirement,
+    register_slots,
+    sharing_profile,
+    value_lifetimes,
 )
-from repro.bad.controller import PlaParameters, datapath_controller
+from repro.bad.controller import (
+    PlaEstimate,
+    PlaParameters,
+    datapath_controller,
+    pla_estimate,
+)
 from repro.bad.power import PowerParameters, power_estimate
 from repro.bad.prediction import AreaBreakdown, DesignPrediction
 from repro.bad.scheduling import Schedule, list_schedule
 from repro.bad.styles import ArchitectureStyle, ClockScheme, OperationTiming
 from repro.bad.wiring import WiringParameters, wiring_estimate
-from repro.dfg.graph import DataFlowGraph
+from repro.dfg.graph import DataFlowGraph, Operation
 from repro.dfg.ops import MEMORY_OP_TYPES, OpType
 from repro.errors import PredictionError
 from repro.library.library import ComponentLibrary, ModuleSet
 from repro.memory.access import memory_access_profile
 from repro.memory.module import MemoryModule
+from repro.obs.tracing import span as trace_span
 from repro.stats import Triplet
 from repro.units import ceil_div, cycles_for_delay
 
@@ -115,21 +123,47 @@ class BADPredictor:
         Returns predictions sorted by the paper's ordering (initiation
         interval, then delay), deduplicated on the design point (module
         set, operators, II, latency, style).
-        """
-        sub = (
-            graph.subgraph_ops(op_ids) if op_ids is not None else graph
-        )
-        if sub.op_count() == 0:
-            raise PredictionError(f"partition {name!r} is empty")
-        ready = self._ready_times(sub, input_arrivals)
-        op_class, counts = partition_resource_model(sub)
 
+        Each derivation is computed once at the scope where it stops
+        changing: partition facts once per call, a schedule and what
+        follows from it (lifetimes, register slots, minimum II) once per
+        distinct timing and capacity vector.  The work is traced as one
+        ``bad.predict_partition`` span.
+        """
+        with trace_span("bad.predict_partition", partition=name) as sp:
+            sub = (
+                graph.subgraph_ops(op_ids) if op_ids is not None else graph
+            )
+            if sub.op_count() == 0:
+                raise PredictionError(f"partition {name!r} is empty")
+            ready = self._ready_times(sub, input_arrivals)
+            predictions, tally = self._enumerate(name, sub, ready)
+            if sp:
+                for counter, amount in tally.items():
+                    sp.add(counter, amount)
+            if not predictions:
+                raise PredictionError(
+                    f"no implementations predicted for partition {name!r}"
+                )
+        return sorted(predictions.values(), key=DesignPrediction.sort_key)
+
+    def _enumerate(
+        self,
+        name: str,
+        sub: DataFlowGraph,
+        ready: Optional[Dict[str, int]],
+    ) -> Tuple[Dict[Tuple, DesignPrediction], Dict[str, int]]:
+        """Every design point of the partition, deduplicated, and a tally
+        of the work for the trace."""
+        module_sets = self._module_sets(sub)
+        facts = self._partition_facts(sub)
         predictions: Dict[Tuple, DesignPrediction] = {}
         # Module sets with identical cycle counts and (when chaining)
         # identical delays produce identical schedules; cache them so a
         # rich library does not re-run the list scheduler needlessly.
-        schedule_cache: Dict[Tuple, Schedule] = {}
-        for module_set in self._module_sets(sub):
+        schedule_cache: Dict[Tuple, _ScheduleFacts] = {}
+        allocations = ii_probes = designs = dedup_drops = 0
+        for module_set in module_sets:
             duration = self._durations(sub, module_set)
             delay_ns, cycle_ns = self._chaining_model(sub, module_set)
             if duration and max(duration.values()) > 1:
@@ -137,43 +171,62 @@ class BADPredictor:
                 delay_ns, cycle_ns = None, None
             busy_cycles: Dict[str, int] = {}
             for op_id, cycles in duration.items():
-                cls = op_class[op_id]
+                cls = facts.op_class[op_id]
                 busy_cycles[cls] = busy_cycles.get(cls, 0) + cycles
             timing_key: Tuple = (
                 tuple(sorted(duration.items())),
                 tuple(sorted(delay_ns.items())) if delay_ns else None,
             )
-            for allocation in allocation_candidates(
-                counts, self.params.max_total_units, busy_cycles=busy_cycles
-            ):
-                capacities = self._capacities(allocation)
-                cache_key = (
-                    timing_key, tuple(sorted(capacities.items()))
+            unit_area = {
+                cls: module_set.component(OpType(cls)).area_for_width(
+                    facts.width
                 )
-                schedule = schedule_cache.get(cache_key)
-                if schedule is None:
+                for cls in facts.counts
+                if not cls.startswith("mem:")
+            }
+            for allocation in allocation_candidates(
+                facts.counts, self.params.max_total_units,
+                busy_cycles=busy_cycles,
+            ):
+                allocations += 1
+                capacities = self._capacities(allocation)
+                cache_key = (timing_key, tuple(sorted(capacities.items())))
+                derived = schedule_cache.get(cache_key)
+                if derived is None:
                     schedule = list_schedule(
-                        sub, duration, op_class, capacities,
-                        delay_ns=delay_ns, cycle_ns=cycle_ns,
-                        ready=ready,
+                        sub, duration, facts.op_class, capacities,
+                        delay_ns=delay_ns, cycle_ns=cycle_ns, ready=ready,
                     )
-                    schedule_cache[cache_key] = schedule
+                    derived = _ScheduleFacts(schedule, busy_cycles)
+                    if self.style.allow_pipelined and schedule.latency > 1:
+                        derived.min_ii, probes = self._min_pipeline_ii(
+                            schedule, busy_cycles
+                        )
+                        ii_probes += probes
+                    schedule_cache[cache_key] = derived
                 for prediction in self._designs_for_schedule(
-                    name, sub, module_set, allocation, schedule
+                    name, sub, facts, module_set, unit_area, derived
                 ):
+                    designs += 1
                     key = self._dedup_key(prediction)
                     existing = predictions.get(key)
+                    if existing is not None:
+                        dedup_drops += 1
                     if (
                         existing is None
                         or prediction.area_total.ml < existing.area_total.ml
                     ):
                         predictions[key] = prediction
-        result = sorted(predictions.values(), key=DesignPrediction.sort_key)
-        if not result:
-            raise PredictionError(
-                f"no implementations predicted for partition {name!r}"
-            )
-        return result
+        tally = {
+            "module_sets": len(module_sets),
+            "allocations": allocations,
+            "schedules_built": len(schedule_cache),
+            "schedule_hits": allocations - len(schedule_cache),
+            "ii_probes": ii_probes,
+            "designs": designs,
+            "dedup_drops": dedup_drops,
+        }
+        return predictions, tally
 
     # ------------------------------------------------------------------
     # enumeration helpers
@@ -227,12 +280,7 @@ class BADPredictor:
         duration: Dict[str, int] = {}
         for op in sub:
             if op.op_type in MEMORY_OP_TYPES:
-                module = self.memories.get(op.memory_block or "")
-                if module is None:
-                    raise PredictionError(
-                        f"operation {op.id!r} accesses unknown memory block "
-                        f"{op.memory_block!r}"
-                    )
+                module = self._memory_of(op)
                 duration[op.id] = cycles_for_delay(module.access_time_ns, dp)
                 continue
             component = module_set.component(op.op_type)
@@ -260,12 +308,39 @@ class BADPredictor:
         delays: Dict[str, float] = {}
         for op in sub:
             if op.op_type in MEMORY_OP_TYPES:
-                module = self.memories.get(op.memory_block or "")
-                assert module is not None  # checked in _durations
-                delays[op.id] = module.access_time_ns
+                delays[op.id] = self._memory_of(op).access_time_ns
             else:
                 delays[op.id] = module_set.component(op.op_type).delay_ns
         return delays, self.clocks.dp_cycle_ns
+
+    def _memory_of(self, op: Operation) -> MemoryModule:
+        module = self.memories.get(op.memory_block or "")
+        if module is None:
+            raise PredictionError(
+                f"operation {op.id!r} accesses unknown memory block "
+                f"{op.memory_block!r}"
+            )
+        return module
+
+    def _partition_facts(self, sub: DataFlowGraph) -> "_PartitionFacts":
+        op_class, counts = partition_resource_model(sub)
+        for op in sub:
+            if op.op_type in MEMORY_OP_TYPES:
+                self._memory_of(op)  # name the first unknown block
+        profile = memory_access_profile(sub, sub.operations)
+        widths = [v.width for v in sub.values.values()]
+        return _PartitionFacts(
+            op_class=op_class,
+            counts=counts,
+            sharing=sharing_profile(sub, op_class),
+            width=max(widths) if widths else 1,
+            bandwidth=(
+                profile.bandwidth_bits(self.memories)
+                if profile.blocks else {}
+            ),
+            input_bits=sum(v.width for v in sub.primary_inputs()),
+            output_bits=sum(v.width for v in sub.primary_outputs()),
+        )
 
     def _capacities(self, allocation: Mapping[str, int]) -> Dict[str, int]:
         capacities: Dict[str, int] = {}
@@ -286,33 +361,35 @@ class BADPredictor:
         self,
         name: str,
         sub: DataFlowGraph,
+        facts: "_PartitionFacts",
         module_set: ModuleSet,
-        allocation: Mapping[str, int],
-        schedule: Schedule,
+        unit_area: Mapping[str, float],
+        derived: "_ScheduleFacts",
     ) -> List[DesignPrediction]:
         designs: List[DesignPrediction] = []
-        latency = max(schedule.latency, 1)
+        latency = max(derived.schedule.latency, 1)
         if self.style.allow_nonpipelined:
             designs.append(
                 self._build_prediction(
-                    name, sub, module_set, allocation, schedule,
+                    name, sub, facts, module_set, unit_area, derived,
                     ii_dp=latency, pipelined=False,
                 )
             )
-        if self.style.allow_pipelined and latency > 1:
-            ii = self._min_pipeline_ii(schedule)
-            if ii < latency:
-                designs.append(
-                    self._build_prediction(
-                        name, sub, module_set, allocation, schedule,
-                        ii_dp=ii, pipelined=True,
-                    )
+        if derived.min_ii < latency:
+            designs.append(
+                self._build_prediction(
+                    name, sub, facts, module_set, unit_area, derived,
+                    ii_dp=derived.min_ii, pipelined=True,
                 )
+            )
         return designs
 
     @staticmethod
-    def _min_pipeline_ii(schedule: Schedule) -> int:
-        """Smallest initiation interval the allocation sustains.
+    def _min_pipeline_ii(
+        schedule: Schedule, busy: Mapping[str, int]
+    ) -> Tuple[int, int]:
+        """Smallest initiation interval the allocation sustains, and how
+        many intervals were probed to find it.
 
         Work conservation bounds the interval from below: a class with
         ``busy`` unit-cycles on ``cap`` units needs ``ceil(busy/cap)``
@@ -322,10 +399,6 @@ class BADPredictor:
         design (always emitted separately) covers the point.
         """
         latency = max(schedule.latency, 1)
-        busy: Dict[str, int] = {}
-        for op_id, begin in schedule.start.items():
-            cls = schedule.resource_class[op_id]
-            busy[cls] = busy.get(cls, 0) + schedule.duration[op_id]
         lower = max(
             (
                 ceil_div(total, schedule.capacities[cls])
@@ -334,28 +407,33 @@ class BADPredictor:
             default=1,
         )
         window = 128
+        probes = 0
         for ii in range(max(1, lower), min(latency, lower + window) + 1):
+            probes += 1
             if schedule.pipeline_feasible(ii):
-                return ii
-        return latency
+                return ii, probes
+        return latency, probes
 
     # ------------------------------------------------------------------
     # prediction assembly
     # ------------------------------------------------------------------
-    def _build_prediction(
+    def _interval_facts(
         self,
-        name: str,
         sub: DataFlowGraph,
-        module_set: ModuleSet,
-        allocation: Mapping[str, int],
-        schedule: Schedule,
+        facts: "_PartitionFacts",
+        derived: "_ScheduleFacts",
         ii_dp: int,
         pipelined: bool,
-    ) -> DesignPrediction:
+    ) -> "_IntervalFacts":
+        """What a design on this schedule and interval charges apart
+        from unit areas, computed once for all module sets sharing the
+        schedule."""
+        key = (pipelined, ii_dp)
+        found = derived.intervals.get(key)
+        if found is not None:
+            return found
         params = self.params
-        width = self._dominant_width(sub)
-        op_class, _counts = partition_resource_model(sub)
-
+        schedule = derived.schedule
         # Charge the units the schedule actually needs, not the raw
         # allocation: chaining and slack often leave allocated units
         # never used concurrently, and synthesis instantiates only the
@@ -363,17 +441,22 @@ class BADPredictor:
         if pipelined:
             effective = schedule.pipeline_capacities(ii_dp)
         else:
-            profile = schedule.usage_profile()
             effective = {
                 cls: max(usage, default=0) or 1
-                for cls, usage in profile.items()
+                for cls, usage in schedule.occupancy().items()
             }
-
+        operator_count = sum(
+            units for cls, units in effective.items()
+            if not cls.startswith("mem:")
+        )
         interval = ii_dp if pipelined else max(schedule.latency, 1)
-        reg_words = register_requirement(sub, schedule, interval)
-        reg_bits = register_bits(sub, schedule, interval)
-        muxes = mux_requirement(
-            sub, effective, op_class, reg_words, width,
+        if derived.lifetimes is None:
+            derived.lifetimes = value_lifetimes(sub, schedule)
+        reg_words, reg_bits = register_slots(
+            sub, derived.lifetimes, interval
+        )
+        muxes = mux_count(
+            facts.sharing, effective, reg_words, facts.width,
             sharing_factor=params.mux_sharing_factor,
         )
         if params.scan_design:
@@ -381,14 +464,60 @@ class BADPredictor:
             # through a 2:1 mux.
             muxes += reg_bits
 
+        controller = datapath_controller(
+            latency_cycles=max(schedule.latency, 1),
+            operator_count=max(operator_count, 1),
+            register_words=reg_words,
+            mux_count=muxes,
+            value_width=facts.width,
+            params=params.pla,
+        )
+        if params.scan_design:
+            extra_terms = max(
+                1,
+                int(controller.product_terms * params.scan_term_fraction),
+            )
+            controller = pla_estimate(
+                controller.inputs,
+                controller.outputs + 1,  # scan-enable line
+                controller.product_terms + extra_terms,
+                params.pla,
+            )
+        found = _IntervalFacts(
+            operators=effective,
+            operator_count=operator_count,
+            register_words=reg_words,
+            register_bits=reg_bits,
+            muxes=muxes,
+            controller=controller,
+        )
+        derived.intervals[key] = found
+        return found
+
+    def _build_prediction(
+        self,
+        name: str,
+        sub: DataFlowGraph,
+        facts: "_PartitionFacts",
+        module_set: ModuleSet,
+        unit_area: Mapping[str, float],
+        derived: "_ScheduleFacts",
+        ii_dp: int,
+        pipelined: bool,
+    ) -> DesignPrediction:
+        params = self.params
+        schedule = derived.schedule
+        width = facts.width
+        shared = self._interval_facts(sub, facts, derived, ii_dp, pipelined)
+        reg_bits = shared.register_bits
+        muxes = shared.muxes
+        controller = shared.controller
+
         functional_ml = 0.0
-        operator_count = 0
-        for cls, units in effective.items():
+        for cls, units in shared.operators.items():
             if cls.startswith("mem:"):
                 continue  # memory area belongs to the memory block
-            component = module_set.component(OpType(cls))
-            functional_ml += units * component.area_for_width(width)
-            operator_count += units
+            functional_ml += units * unit_area[cls]
         functional = Triplet.spread(
             functional_ml, params.functional_rel_lb, params.functional_rel_ub
         )
@@ -403,28 +532,6 @@ class BADPredictor:
             params.storage_rel_ub,
         ) if muxes else Triplet.zero()
 
-        controller = datapath_controller(
-            latency_cycles=max(schedule.latency, 1),
-            operator_count=max(operator_count, 1),
-            register_words=reg_words,
-            mux_count=muxes,
-            value_width=width,
-            params=params.pla,
-        )
-        if params.scan_design:
-            from repro.bad.controller import pla_estimate
-
-            extra_terms = max(
-                1,
-                int(controller.product_terms * params.scan_term_fraction),
-            )
-            controller = pla_estimate(
-                controller.inputs,
-                controller.outputs + 1,  # scan-enable line
-                controller.product_terms + extra_terms,
-                params.pla,
-            )
-
         active_ml = (
             functional.ml
             + registers.ml
@@ -432,8 +539,8 @@ class BADPredictor:
             + controller.area_mil2.ml
         )
         cell_count = (
-            max(operator_count, 1)
-            + reg_words
+            max(shared.operator_count, 1)
+            + shared.register_words
             + ceil_div(muxes, max(width, 1))
             + 1  # the controller
         )
@@ -448,23 +555,9 @@ class BADPredictor:
         if params.scan_design:
             overhead += params.scan_delay_ns
 
-        profile = memory_access_profile(sub, sub.operations)
-        bandwidth = (
-            profile.bandwidth_bits(self.memories) if profile.blocks else {}
-        )
-
-        unit_area_by_class: Dict[str, float] = {}
-        busy_by_class: Dict[str, int] = {}
-        for an_op_id, cls in op_class.items():
-            cycles = schedule.duration[an_op_id]
-            busy_by_class[cls] = busy_by_class.get(cls, 0) + cycles
-            if cls.startswith("mem:") or cls in unit_area_by_class:
-                continue
-            component = module_set.component(OpType(cls))
-            unit_area_by_class[cls] = component.area_for_width(width)
         power = power_estimate(
-            functional_area_by_class=unit_area_by_class,
-            busy_cycles_by_class=busy_by_class,
+            functional_area_by_class=unit_area,
+            busy_cycles_by_class=derived.busy,
             ii_dp=ii_dp,
             dp_cycle_ns=self.clocks.dp_cycle_ns,
             register_bits=reg_bits,
@@ -479,7 +572,7 @@ class BADPredictor:
             module_set=module_set,
             timing=self.style.timing,
             pipelined=pipelined,
-            operators=dict(effective),
+            operators=dict(shared.operators),
             ii_dp=ii_dp,
             latency_dp=max(schedule.latency, 1),
             ii_main=self.clocks.dp_cycles_to_main(ii_dp),
@@ -487,7 +580,7 @@ class BADPredictor:
                 max(schedule.latency, 1)
             ),
             register_bits=reg_bits,
-            register_words=reg_words,
+            register_words=shared.register_words,
             mux_count=muxes,
             area=AreaBreakdown(
                 functional_units=functional,
@@ -498,16 +591,11 @@ class BADPredictor:
             ),
             controller=controller,
             clock_overhead_ns=overhead,
-            memory_bandwidth_bits=bandwidth,
-            input_bits=sum(v.width for v in sub.primary_inputs()),
-            output_bits=sum(v.width for v in sub.primary_outputs()),
+            memory_bandwidth_bits=dict(facts.bandwidth),
+            input_bits=facts.input_bits,
+            output_bits=facts.output_bits,
             power_mw=power.total_mw,
         )
-
-    @staticmethod
-    def _dominant_width(sub: DataFlowGraph) -> int:
-        widths = [v.width for v in sub.values.values()]
-        return max(widths) if widths else 1
 
     @staticmethod
     def _dedup_key(prediction: DesignPrediction) -> Tuple:
@@ -518,3 +606,56 @@ class BADPredictor:
             prediction.latency_main,
             prediction.pipelined,
         )
+
+
+@dataclass(frozen=True, slots=True)
+class _PartitionFacts:
+    """What BAD derives from the partition alone, once per
+    :meth:`BADPredictor.predict_partition` call."""
+
+    op_class: Dict[str, str]
+    counts: Dict[str, int]
+    sharing: SharingProfile
+    #: Dominant value width: every unit and mux is sized to it.
+    width: int
+    bandwidth: Dict[str, int]
+    input_bits: int
+    output_bits: int
+
+
+class _ScheduleFacts:
+    """One schedule and what follows from it, derived once.
+
+    Every module set and allocation that reuses the schedule (through
+    the schedule cache) shares its minimum pipeline II, its value
+    lifetimes and, per interval, the :class:`_IntervalFacts`.  ``min_ii``
+    equals the latency when no pipelined design is emitted.  Lives only
+    as long as one :meth:`BADPredictor.predict_partition` call.
+    """
+
+    __slots__ = ("schedule", "busy", "min_ii", "lifetimes", "intervals")
+
+    def __init__(
+        self, schedule: Schedule, busy: Mapping[str, int]
+    ) -> None:
+        self.schedule = schedule
+        #: Unit-cycles each class executes per iteration.
+        self.busy = busy
+        self.min_ii = max(schedule.latency, 1)
+        self.lifetimes: Optional[Dict[str, Tuple[int, int]]] = None
+        self.intervals: Dict[Tuple[bool, int], _IntervalFacts] = {}
+
+
+@dataclass(frozen=True, slots=True)
+class _IntervalFacts:
+    """The storage, steering and control one schedule needs at one
+    interval (pipelined or not); only unit areas vary by module set."""
+
+    #: Units charged per class: the peak the schedule actually uses.
+    operators: Dict[str, int]
+    #: Compute units among them (memory ports excluded).
+    operator_count: int
+    register_words: int
+    register_bits: int
+    muxes: int
+    controller: PlaEstimate

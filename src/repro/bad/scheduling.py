@@ -33,14 +33,15 @@ def asap_schedule(
     section 5 relaxes that.
     """
     _check_durations(graph, duration)
+    preds = graph.predecessor_map()
     start: Dict[str, int] = {}
-    for op_id in graph.topological_order():
+    for op_id in graph.topological_ids():
         earliest = ready.get(op_id, 0) if ready else 0
         if earliest < 0:
             raise PredictionError(
                 f"operation {op_id!r} has negative ready time"
             )
-        for pred in graph.predecessors(op_id):
+        for pred in preds[op_id]:
             earliest = max(earliest, start[pred] + duration[pred])
         start[op_id] = earliest
     return start
@@ -72,10 +73,17 @@ def alap_schedule(
         raise PredictionError(
             f"deadline {deadline} is below the critical path {cp}"
         )
+    return _alap_starts(graph, duration, deadline)
+
+
+def _alap_starts(
+    graph: DataFlowGraph, duration: Mapping[str, int], deadline: int
+) -> Dict[str, int]:
+    succs = graph.successor_map()
     start: Dict[str, int] = {}
-    for op_id in reversed(graph.topological_order()):
+    for op_id in reversed(graph.topological_ids()):
         latest = deadline - duration[op_id]
-        for succ in graph.successors(op_id):
+        for succ in succs[op_id]:
             latest = min(latest, start[succ] - duration[op_id])
         start[op_id] = latest
     return start
@@ -90,6 +98,12 @@ class Schedule:
     within its first cycle; dependent operations may then share a cycle
     as long as their combinational delays fit, which is how a 3-micron
     adder avoids wasting a 3000 ns cycle.
+
+    Every operation finishes by ``latency`` (:func:`list_schedule`
+    guarantees it), so one per-class occupancy histogram over the
+    schedule's cycles answers every usage question below; it is built on
+    first use and shared by all of them.  It takes no part in ``==`` or
+    ``repr``.
     """
 
     start: Dict[str, int]
@@ -99,6 +113,9 @@ class Schedule:
     latency: int
     offset_ns: Dict[str, float] = field(default_factory=dict)
     delay_ns: Dict[str, float] = field(default_factory=dict)
+    _occupancy: Optional[Dict[str, List[int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def finish(self, op_id: str) -> int:
         return self.start[op_id] + self.duration[op_id]
@@ -110,21 +127,29 @@ class Schedule:
             and self.start.get(pred) == self.start.get(succ)
         )
 
+    def occupancy(self) -> Dict[str, List[int]]:
+        """Per-class busy units in each cycle, cached (do not mutate)."""
+        occupancy = self._occupancy
+        if occupancy is None:
+            occupancy = {
+                cls: [0] * max(self.latency, 1) for cls in self.capacities
+            }
+            for op_id, begin in self.start.items():
+                row = occupancy[self.resource_class[op_id]]
+                for cycle in range(begin, begin + self.duration[op_id]):
+                    row[cycle] += 1
+            self._occupancy = occupancy
+        return occupancy
+
     def usage_profile(self) -> Dict[str, List[int]]:
         """Per-class unit usage in each cycle of the schedule."""
-        profile = {
-            cls: [0] * max(self.latency, 1) for cls in self.capacities
-        }
-        for op_id, begin in self.start.items():
-            cls = self.resource_class[op_id]
-            for cycle in range(begin, begin + self.duration[op_id]):
-                profile[cls][cycle] += 1
-        return profile
+        return {cls: list(row) for cls, row in self.occupancy().items()}
 
     def verify(self, graph: DataFlowGraph) -> None:
         """Raise :class:`PredictionError` on any violated constraint."""
+        preds = graph.predecessor_map()
         for op_id, begin in self.start.items():
-            for pred in graph.predecessors(op_id):
+            for pred in preds[op_id]:
                 if self.finish(pred) <= begin:
                     continue
                 if self.chained(pred, op_id):
@@ -137,7 +162,7 @@ class Schedule:
                     f"precedence violated: {pred} finishes at "
                     f"{self.finish(pred)} but {op_id} starts at {begin}"
                 )
-        for cls, usage in self.usage_profile().items():
+        for cls, usage in self.occupancy().items():
             peak = max(usage, default=0)
             if peak > self.capacities[cls]:
                 raise PredictionError(
@@ -152,19 +177,11 @@ class Schedule:
         modulo the initiation interval across overlapped iterations — the
         standard pipeline resource model.
         """
-        if initiation_interval <= 0:
-            raise PredictionError(
-                f"initiation interval must be positive, got "
-                f"{initiation_interval}"
-            )
-        usage = {
-            cls: [0] * initiation_interval for cls in self.capacities
+        _check_interval(initiation_interval)
+        return {
+            cls: _fold(row, initiation_interval)
+            for cls, row in self.occupancy().items()
         }
-        for op_id, begin in self.start.items():
-            cls = self.resource_class[op_id]
-            for cycle in range(begin, begin + self.duration[op_id]):
-                usage[cls][cycle % initiation_interval] += 1
-        return usage
 
     def pipeline_capacities(
         self, initiation_interval: int
@@ -176,11 +193,34 @@ class Schedule:
         }
 
     def pipeline_feasible(self, initiation_interval: int) -> bool:
-        """Whether the allocated capacities sustain the interval."""
-        needed = self.pipeline_capacities(initiation_interval)
-        return all(
-            needed[cls] <= self.capacities[cls] for cls in self.capacities
+        """Whether the allocated capacities sustain the interval.
+
+        Stops at the first modulo slot over its class's capacity.
+        """
+        _check_interval(initiation_interval)
+        ii = initiation_interval
+        for cls, row in self.occupancy().items():
+            cap = self.capacities[cls]
+            for slot in range(min(ii, len(row))):
+                if sum(row[slot::ii]) > cap:
+                    return False
+        return True
+
+
+def _check_interval(initiation_interval: int) -> None:
+    if initiation_interval <= 0:
+        raise PredictionError(
+            f"initiation interval must be positive, got "
+            f"{initiation_interval}"
         )
+
+
+def _fold(row: List[int], interval: int) -> List[int]:
+    """``row`` summed modulo ``interval``: slot ``s`` totals every entry
+    whose index is congruent to ``s``."""
+    if interval >= len(row):
+        return row + [0] * (interval - len(row))
+    return [sum(row[slot::interval]) for slot in range(interval)]
 
 
 def list_schedule(
@@ -235,12 +275,14 @@ def list_schedule(
                     f"{cycle_ns:g} ns cycle; use the multi-cycle style"
                 )
 
+    # One ASAP pass gives the critical path; ALAP against it cannot
+    # fail, because arrival times only lengthen the path.
     cp = critical_path_cycles(graph, duration, ready)
-    alap = alap_schedule(graph, duration, cp)
-    order = graph.topological_order()
-    remaining_preds = {
-        op_id: len(graph.predecessors(op_id)) for op_id in order
-    }
+    alap = _alap_starts(graph, duration, cp)
+    order = graph.topological_ids()
+    preds = graph.predecessor_map()
+    succs = graph.successor_map()
+    remaining_preds = {op_id: len(preds[op_id]) for op_id in order}
     ready_list: List[str] = sorted(
         (op_id for op_id, n in remaining_preds.items() if n == 0),
         key=lambda o: (alap[o], o),
@@ -255,7 +297,7 @@ def list_schedule(
         if ready and ready.get(op_id, 0) > time:
             return None
         begin = 0.0
-        for pred in graph.predecessors(op_id):
+        for pred in preds[op_id]:
             if pred not in start:
                 return None
             pred_finish = start[pred] + duration[pred]
@@ -311,7 +353,7 @@ def list_schedule(
                     scheduled += 1
                     placed_any = True
                     heapq.heappush(events, time + duration[op_id])
-                    for succ in graph.successors(op_id):
+                    for succ in succs[op_id]:
                         remaining_preds[succ] -= 1
                         if remaining_preds[succ] == 0:
                             ready_list.append(succ)

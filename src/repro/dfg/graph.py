@@ -102,6 +102,12 @@ class DataFlowGraph:
         self._consumers: Dict[str, Tuple[str, ...]] = {}
         self._check_integrity()
         self._index_consumers()
+        # Traversal caches, filled on first use.  The graph never changes
+        # after construction, so two threads racing to fill one compute
+        # the same value and either write may win.
+        self._topo: Optional[Tuple[str, ...]] = None
+        self._preds: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._succs: Optional[Dict[str, Tuple[str, ...]]] = None
 
     # ------------------------------------------------------------------
     # construction-time checks
@@ -203,22 +209,13 @@ class DataFlowGraph:
     # ------------------------------------------------------------------
     def predecessors(self, op_id: str) -> List[str]:
         """Operations producing the inputs of ``op_id`` (deduplicated)."""
-        op = self.operation(op_id)
-        seen: Set[str] = set()
-        result: List[str] = []
-        for vid in op.inputs:
-            producer = self._values[vid].producer
-            if producer is not None and producer not in seen:
-                seen.add(producer)
-                result.append(producer)
-        return result
+        self.operation(op_id)
+        return list(self.predecessor_map()[op_id])
 
     def successors(self, op_id: str) -> List[str]:
         """Operations consuming the output of ``op_id``."""
-        op = self.operation(op_id)
-        if op.output is None:
-            return []
-        return list(self._consumers.get(op.output, ()))
+        self.operation(op_id)
+        return list(self.successor_map()[op_id])
 
     def topological_order(self) -> List[str]:
         """Operation ids in a dependency-respecting order.
@@ -227,9 +224,51 @@ class DataFlowGraph:
         paper requires inner loops to be unrolled before partitioning.
         Ties are broken by operation id so the order is deterministic.
         """
+        return list(self.topological_ids())
+
+    def predecessor_map(self) -> Dict[str, Tuple[str, ...]]:
+        """Operation id -> its :meth:`predecessors`, cached (do not mutate)."""
+        preds = self._preds
+        if preds is None:
+            preds = {}
+            for op_id, op in self._operations.items():
+                producers: List[str] = []
+                for vid in op.inputs:
+                    producer = self._values[vid].producer
+                    if producer is not None and producer not in producers:
+                        producers.append(producer)
+                preds[op_id] = tuple(producers)
+            self._preds = preds
+        return preds
+
+    def successor_map(self) -> Dict[str, Tuple[str, ...]]:
+        """Operation id -> its :meth:`successors`, cached (do not mutate)."""
+        succs = self._succs
+        if succs is None:
+            succs = {
+                op_id: (
+                    self._consumers.get(op.output, ())
+                    if op.output is not None
+                    else ()
+                )
+                for op_id, op in self._operations.items()
+            }
+            self._succs = succs
+        return succs
+
+    def topological_ids(self) -> Tuple[str, ...]:
+        """:meth:`topological_order` as a cached tuple, for hot loops."""
+        order = self._topo
+        if order is None:
+            order = self._sort_topologically()
+            self._topo = order
+        return order
+
+    def _sort_topologically(self) -> Tuple[str, ...]:
+        succs = self.successor_map()
         indegree = {op_id: 0 for op_id in self._operations}
         for op_id in self._operations:
-            for succ in self.successors(op_id):
+            for succ in succs[op_id]:
                 indegree[succ] += 1
         ready = deque(sorted(op_id for op_id, d in indegree.items() if d == 0))
         order: List[str] = []
@@ -237,7 +276,7 @@ class DataFlowGraph:
             op_id = ready.popleft()
             order.append(op_id)
             newly_ready = []
-            for succ in self.successors(op_id):
+            for succ in succs[op_id]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     newly_ready.append(succ)
@@ -248,14 +287,16 @@ class DataFlowGraph:
                 f"graph {self.name!r} contains a cycle; unroll inner loops "
                 "before partitioning (paper section 2.3)"
             )
-        return order
+        return tuple(order)
 
     def depth(self) -> int:
         """Length of the longest operation chain (critical path in ops)."""
         levels: Dict[str, int] = {}
-        for op_id in self.topological_order():
-            preds = self.predecessors(op_id)
-            levels[op_id] = 1 + max((levels[p] for p in preds), default=0)
+        preds = self.predecessor_map()
+        for op_id in self.topological_ids():
+            levels[op_id] = 1 + max(
+                (levels[p] for p in preds[op_id]), default=0
+            )
         return max(levels.values(), default=0)
 
     def subgraph_ops(self, op_ids: Iterable[str]) -> "DataFlowGraph":
@@ -273,9 +314,13 @@ class DataFlowGraph:
             raise SpecificationError(
                 f"subgraph references unknown operations: {sorted(unknown)}"
             )
+        # Walk the members in this graph's order, never the set's: the
+        # subgraph's dict order reaches BAD's output, and set order
+        # varies with the interpreter's string hash seed.
+        members = [op_id for op_id in self._operations if op_id in chosen]
         ops: Dict[str, Operation] = {}
         values: Dict[str, Value] = {}
-        for op_id in chosen:
+        for op_id in members:
             op = self._operations[op_id]
             ops[op_id] = op
             for vid in op.inputs:
@@ -286,7 +331,7 @@ class DataFlowGraph:
                     vid,
                     Value(id=vid, width=original.width, producer=None),
                 )
-        for op_id in chosen:
+        for op_id in members:
             op = self._operations[op_id]
             if op.output is None:
                 continue
